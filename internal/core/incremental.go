@@ -59,6 +59,7 @@ type IncrementalState struct {
 	front, front2 []int32         // frontier node lists (double-buffered)
 	gather        []*tensor.Dense // per-layer batched aggregation inputs
 	acts          []*tensor.Dense // per-layer encoder outputs + FC activations
+	aggRows       []float64       // one frontier row's P·E and S·E, side by side
 }
 
 // scratchDense resizes *p to rows×cols, reusing its backing array when
@@ -233,25 +234,20 @@ func (m *Model) UpdateIncremental(st *IncrementalState, g *Graph, dirty []int32)
 		prev := st.embeds[d]
 		cur := st.embeds[d+1]
 		batch := scratchDense(&st.gather[d], len(nodes), prev.Cols)
+		if cap(st.aggRows) < 2*prev.Cols {
+			st.aggRows = make([]float64, 2*prev.Cols)
+		}
+		pe, se := st.aggRows[:prev.Cols], st.aggRows[prev.Cols:2*prev.Cols]
 		for i, v := range nodes {
+			// Same grouping and order as Model.forward, so the row is
+			// bit-identical to the full pass: this row of P·E and S·E
+			// from the SpMM row kernel, then agg = (E + wpr·pe) + wsu·se.
+			g.Pred().MulDenseRow(pe, int(v), prev)
+			g.Succ().MulDenseRow(se, int(v), prev)
 			agg := batch.Row(i)
 			copy(agg, prev.Row(int(v)))
-			preds, pvals := g.PredEntries(v)
-			for k, u := range preds {
-				w := wpr * pvals[k]
-				row := prev.Row(int(u))
-				for j, x := range row {
-					agg[j] += w * x
-				}
-			}
-			succs, svals := g.SuccEntries(v)
-			for k, u := range succs {
-				w := wsu * svals[k]
-				row := prev.Row(int(u))
-				for j, x := range row {
-					agg[j] += w * x
-				}
-			}
+			tensor.Axpy(agg, wpr, pe)
+			tensor.Axpy(agg, wsu, se)
 		}
 		out := enc.ForwardInto(scratchDense(&st.acts[d], len(nodes), cur.Cols), batch)
 		out.ReLUInPlace()

@@ -42,8 +42,8 @@ func TestIncrementalMatchesFullAfterMutations(t *testing.T) {
 
 		want := m.Predict(g)
 		for v := range want {
-			if math.Abs(st.Probs[v]-want[v]) > 1e-9 {
-				t.Fatalf("step %d: node %d incremental %g full %g", step, v, st.Probs[v], want[v])
+			if math.Float64bits(st.Probs[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("step %d: node %d incremental %v full %v", step, v, st.Probs[v], want[v])
 			}
 		}
 	}
@@ -84,8 +84,8 @@ func TestIncrementalStateIsolatedFromGraphEdits(t *testing.T) {
 	// Now declare it dirty; only then the edit lands.
 	m.UpdateIncremental(st, g, []int32{0})
 	want := m.Predict(g)
-	if math.Abs(st.Probs[0]-want[0]) > 1e-9 {
-		t.Errorf("node 0 after explicit dirty: %g want %g", st.Probs[0], want[0])
+	if math.Float64bits(st.Probs[0]) != math.Float64bits(want[0]) {
+		t.Errorf("node 0 after explicit dirty: %v want %v", st.Probs[0], want[0])
 	}
 }
 

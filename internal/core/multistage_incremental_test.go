@@ -55,8 +55,8 @@ func TestMultiStageIncrementalMatchesFullAfterMutations(t *testing.T) {
 
 		want := ms.PredictProbs(g)
 		for v := range want {
-			if math.Abs(st.Probs[v]-want[v]) > 1e-9 {
-				t.Fatalf("step %d: node %d cascade incremental %g full %g",
+			if math.Float64bits(st.Probs[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("step %d: node %d cascade incremental %v full %v",
 					step, v, st.Probs[v], want[v])
 			}
 		}
@@ -75,8 +75,8 @@ func TestMultiStageIncrementalSingleStage(t *testing.T) {
 	ms.UpdateIncremental(st, g, nil)
 	want := ms.Stages[0].Predict(g)
 	for v := range want {
-		if math.Abs(st.Probs[v]-want[v]) > 1e-9 {
-			t.Fatalf("node %d: %g want %g", v, st.Probs[v], want[v])
+		if math.Float64bits(st.Probs[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("node %d: %v want %v", v, st.Probs[v], want[v])
 		}
 	}
 }
@@ -91,8 +91,8 @@ func TestMultiStageNewIncrementalRun(t *testing.T) {
 	want := ip.PredictProbs(g)
 	probs := run.Probs()
 	for v := range want {
-		if math.Abs(probs[v]-want[v]) > 1e-9 {
-			t.Fatalf("node %d: run %g full %g", v, probs[v], want[v])
+		if math.Float64bits(probs[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("node %d: run %v full %v", v, probs[v], want[v])
 		}
 	}
 }

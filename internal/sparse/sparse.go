@@ -246,18 +246,30 @@ func (m *CSR) MulDense(dst, x *tensor.Dense) {
 
 func (m *CSR) mulRows(dst, x *tensor.Dense, lo, hi int) {
 	for r := lo; r < hi; r++ {
-		drow := dst.Row(r)
-		for j := range drow {
-			drow[j] = 0
-		}
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v := m.Vals[p]
-			xrow := x.Row(int(m.ColIdx[p]))
-			for j, xv := range xrow {
-				drow[j] += v * xv
-			}
-		}
+		m.mulRow(dst.Row(r), r, x)
 	}
+}
+
+// mulRow is the one row kernel under every CSR SpMM: dst is zeroed, then
+// gets one tensor.Axpy per stored entry of row r, in storage order.
+func (m *CSR) mulRow(dst []float64, r int, x *tensor.Dense) {
+	for j := range dst {
+		dst[j] = 0
+	}
+	for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+		tensor.Axpy(dst, m.Vals[p], x.Row(int(m.ColIdx[p])))
+	}
+}
+
+// MulDenseRow sets dst (length x.Cols) to row r of m·x. It runs the same
+// row kernel as MulDense, so the row is bit-identical to the same row of
+// a whole product; the incremental GCN update in internal/core relies on
+// this to recompute single frontier rows.
+func (m *CSR) MulDenseRow(dst []float64, r int, x *tensor.Dense) {
+	if x.Rows != m.NumCols || len(dst) != x.Cols || r < 0 || r >= m.NumRows {
+		panic("sparse: CSR MulDenseRow shape mismatch")
+	}
+	m.mulRow(dst, r, x)
 }
 
 // MulDenseRows computes rows [lo,hi) of dst = m·x, leaving every other

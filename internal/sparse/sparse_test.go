@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,37 @@ func TestCSRParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d differs by %g", workers, diff)
 		}
 	}
+}
+
+// TestCSRMulDenseRowMatchesMulDense holds a row computed alone to the
+// same row of the whole product, bit for bit, at widths on both sides of
+// the kernel's unrolled block, and pins its shape check.
+func TestCSRMulDenseRowMatchesMulDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randCOO(rng, 60, 50, 400, true).ToCSR()
+	for _, cols := range []int{1, 4, 9, 64} {
+		x := randDense(rng, 50, cols)
+		whole := tensor.NewDense(60, cols)
+		m.MulDense(whole, x)
+		row := make([]float64, cols)
+		for r := 0; r < m.NumRows; r++ {
+			for j := range row {
+				row[j] = 99 // the row kernel must overwrite, not accumulate
+			}
+			m.MulDenseRow(row, r, x)
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(whole.At(r, j)) {
+					t.Fatalf("cols=%d row %d col %d: %v, want %v", cols, r, j, v, whole.At(r, j))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MulDenseRow with a short dst should panic")
+		}
+	}()
+	m.MulDenseRow(make([]float64, 3), 0, randDense(rng, 50, 4))
 }
 
 func TestCSRTransposeAndTransMul(t *testing.T) {

@@ -4,7 +4,10 @@
 #   ./scripts/check.sh
 #
 # What it checks (referenced from README.md "Measuring performance"):
-#   1. go vet over every package
+#   1. go vet over every package, plus a GOARCH=arm64 vet of
+#      internal/tensor and internal/sparse so the portable fallback of the
+#      amd64 assembly row kernel keeps compiling (vet's asmdecl check
+#      covers the assembly frame on the native pass)
 #   2. gofmt cleanliness (no files would be rewritten)
 #   3. race-detector tests for the concurrency-heavy packages
 #      (internal/obs metrics registry, internal/core parallel trainer,
@@ -42,6 +45,9 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== GOARCH=arm64 go vet ./internal/tensor ./internal/sparse (non-amd64 fallback compiles)"
+GOARCH=arm64 go vet ./internal/tensor ./internal/sparse
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
@@ -84,6 +90,7 @@ check_cover nn 90
 check_cover serve 80
 check_cover partition 85
 check_cover coarsen 85
+check_cover tensor 88
 
 if [ "$FUZZTIME" != "0" ]; then
     echo "== fuzz smoke (${FUZZTIME} per target; FUZZTIME=0 to skip)"
@@ -92,6 +99,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzBatchSim$'     -fuzztime="$FUZZTIME" ./internal/fault
     go test -run='^$' -fuzz='^FuzzPartition$'    -fuzztime="$FUZZTIME" ./internal/partition
     go test -run='^$' -fuzz='^FuzzCoarsen$'      -fuzztime="$FUZZTIME" ./internal/coarsen
+    go test -run='^$' -fuzz='^FuzzMatMul$'       -fuzztime="$FUZZTIME" ./internal/tensor
 else
     echo "== fuzz smoke skipped (FUZZTIME=0)"
 fi
