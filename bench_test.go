@@ -352,41 +352,6 @@ func BenchmarkAblationCSRMul(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCSRMul32 is the float32 twin of AblationCSRMul:
-// identical adjacency and block shape through the narrowed SpMM kernel
-// (DESIGN.md decision 10). The f64/f32 delta is the memory-bandwidth
-// saving of halving the dense operand width.
-func BenchmarkAblationCSRMul32(b *testing.B) {
-	n := circuitgen.Generate("ab1", circuitgen.Config{Seed: 3, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	x := tensor.NewDense32(g.N, 32)
-	rng := rand.New(rand.NewSource(1))
-	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
-	}
-	dst := tensor.NewDense32(g.N, 32)
-	csr := g.Pred()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDense32(dst, x)
-	}
-}
-
-// BenchmarkFig10MatrixInferenceF32 scores the Figure 10 mid-size point
-// through the float32 forward path; compare with Fig10MatrixInference
-// for the end-to-end precision-narrowing payoff.
-func BenchmarkFig10MatrixInferenceF32(b *testing.B) {
-	n := circuitgen.Generate("f10m", circuitgen.Config{Seed: 1, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	model := core.MustNewModel(core.DefaultConfig())
-	model.SetFloat32Inference(true)
-	model.PredictProbs(g) // build CSR + narrowed weights once
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.PredictProbs(g)
-	}
-}
-
 // BenchmarkAblationSpMM50k runs the nnz-balanced parallel SpMM over the
 // 50k-gate OPI fixture's adjacency at a spread of worker counts
 // (workers are clamped to min(GOMAXPROCS, NumCPU) inside the kernel, so

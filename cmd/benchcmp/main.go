@@ -7,19 +7,14 @@
 //
 // Usage:
 //
-//	benchcmp [-tol F] [-alloc-tol F] [-min-ns N] [-tol-for RE=F ...]
-//	         old.json new.json
+//	benchcmp [-tol F] [-alloc-tol F] [-min-ns N] old.json new.json
 //
 // -tol is the fractional ns/op slowdown allowed (default 0.50 — bench
 // noise between recording machines is real; tighten it when comparing
 // two runs from the same machine). -alloc-tol bounds allocs/op growth
 // (allocation counts are deterministic, so the default is tight).
 // -min-ns skips the ns/op comparison for benchmarks faster than N ns/op
-// in the baseline, where timer noise dominates. -tol-for overrides the
-// ns/op tolerance for benchmarks whose name matches a regexp
-// (first match wins; repeatable) — e.g. -tol-for 'F32=0.75' gives the
-// float32 kernels extra headroom, since their throughput swings with
-// the recording host's SIMD width more than the float64 paths do.
+// in the baseline, where timer noise dominates.
 //
 // Benchmarks present in only one file are reported but never fail the
 // gate (the suite is allowed to grow); differing num_cpu between the
@@ -33,9 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -64,52 +56,6 @@ type BenchResult struct {
 // incidental allocation.
 const allocGrace = 2
 
-// tolOverride is one -tol-for entry: benchmarks matching re use frac as
-// their ns/op tolerance instead of -tol.
-type tolOverride struct {
-	re   *regexp.Regexp
-	frac float64
-}
-
-// tolOverrides implements flag.Value for the repeatable -tol-for flag.
-type tolOverrides []tolOverride
-
-func (t *tolOverrides) String() string {
-	parts := make([]string, len(*t))
-	for i, o := range *t {
-		parts[i] = fmt.Sprintf("%s=%g", o.re, o.frac)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (t *tolOverrides) Set(s string) error {
-	eq := strings.LastIndex(s, "=")
-	if eq < 1 {
-		return fmt.Errorf("-tol-for wants REGEXP=FRACTION, got %q", s)
-	}
-	re, err := regexp.Compile(s[:eq])
-	if err != nil {
-		return fmt.Errorf("-tol-for regexp: %w", err)
-	}
-	frac, err := strconv.ParseFloat(s[eq+1:], 64)
-	if err != nil || frac < 0 {
-		return fmt.Errorf("-tol-for fraction %q is not a non-negative number", s[eq+1:])
-	}
-	*t = append(*t, tolOverride{re: re, frac: frac})
-	return nil
-}
-
-// tolFor resolves a benchmark's ns/op tolerance: the first matching
-// override, otherwise the default.
-func (t tolOverrides) tolFor(name string, def float64) float64 {
-	for _, o := range t {
-		if o.re.MatchString(name) {
-			return o.frac
-		}
-	}
-	return def
-}
-
 func main() {
 	regressions, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
@@ -128,8 +74,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 	tol := fs.Float64("tol", 0.50, "allowed fractional ns/op slowdown")
 	allocTol := fs.Float64("alloc-tol", 0.10, "allowed fractional allocs/op growth")
 	minNS := fs.Float64("min-ns", 1000, "skip ns/op comparison below this baseline ns/op")
-	var overrides tolOverrides
-	fs.Var(&overrides, "tol-for", "per-benchmark ns/op tolerance REGEXP=FRACTION (first match wins; repeatable)")
 	version := fs.Bool("version", false, "print the build's git revision and exit")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
@@ -149,7 +93,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return compare(oldF, newF, fs.Arg(0), fs.Arg(1), *tol, *allocTol, *minNS, overrides, stdout), nil
+	return compare(oldF, newF, fs.Arg(0), fs.Arg(1), *tol, *allocTol, *minNS, stdout), nil
 }
 
 func readBenchFile(path string) (*BenchFile, error) {
@@ -169,7 +113,7 @@ func readBenchFile(path string) (*BenchFile, error) {
 
 // compare prints a per-benchmark verdict table and returns how many
 // benchmarks regressed.
-func compare(oldF, newF *BenchFile, oldPath, newPath string, tol, allocTol, minNS float64, overrides tolOverrides, w io.Writer) int {
+func compare(oldF, newF *BenchFile, oldPath, newPath string, tol, allocTol, minNS float64, w io.Writer) int {
 	fmt.Fprintf(w, "benchcmp %s (%s) -> %s (%s)\n", oldPath, oldF.GitDescribe, newPath, newF.GitDescribe)
 	if oldF.NumCPU != newF.NumCPU || oldF.GOMAXPROCS != newF.GOMAXPROCS {
 		fmt.Fprintf(w, "WARNING: artifacts recorded on different machines (num_cpu %d vs %d, gomaxprocs %d vs %d); ns/op is not strictly comparable\n",
@@ -196,9 +140,8 @@ func compare(oldF, newF *BenchFile, oldPath, newPath string, tol, allocTol, minN
 			delta = nb.NsPerOp/ob.NsPerOp - 1
 		}
 		var verdicts []string
-		benchTol := overrides.tolFor(nb.Name, tol)
-		if ob.NsPerOp >= minNS && delta > benchTol {
-			verdicts = append(verdicts, fmt.Sprintf("REGRESSION ns/op +%.0f%% > %.0f%%", 100*delta, 100*benchTol))
+		if ob.NsPerOp >= minNS && delta > tol {
+			verdicts = append(verdicts, fmt.Sprintf("REGRESSION ns/op +%.0f%% > %.0f%%", 100*delta, 100*tol))
 		}
 		allocLimit := float64(ob.AllocsPerOp)*(1+allocTol) + allocGrace
 		if float64(nb.AllocsPerOp) > allocLimit {

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,46 +115,6 @@ func TestTightenedToleranceFlag(t *testing.T) {
 	}
 	if regressions != 1 {
 		t.Fatalf("-tol 0.10 should flag a +20%% slowdown, got %d regressions\n%s", regressions, out.String())
-	}
-}
-
-// TestTolForOverride: a per-benchmark -tol-for entry must loosen (or
-// tighten) only the matching benchmarks, first match winning, and
-// reject malformed specs.
-func TestTolForOverride(t *testing.T) {
-	dir := t.TempDir()
-	newer := baseline()
-	newer.Benchmarks[0].NsPerOp = 1_600_000 // SpMM +60%
-	newer.Benchmarks[1].NsPerOp = 3_200_000 // FaultSim +60%
-	old := writeBench(t, dir, "old.json", baseline())
-	new_ := writeBench(t, dir, "new.json", newer)
-
-	// SpMM gets 75% headroom and passes; FaultSim keeps the 50% default
-	// and regresses.
-	var out bytes.Buffer
-	regressions, err := run([]string{"-tol-for", "SpMM=0.75", old, new_}, &out)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if regressions != 1 || !strings.Contains(out.String(), "REGRESSION ns/op +60% > 50%") {
-		t.Fatalf("regressions = %d, want only FaultSim at default tol:\n%s", regressions, out.String())
-	}
-
-	// First match wins: the broad catch-all after the specific entry
-	// must not override it.
-	out.Reset()
-	regressions, err = run([]string{"-tol-for", "SpMM=0.75", "-tol-for", ".*=0.01", old, new_}, &out)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if regressions != 1 {
-		t.Fatalf("first-match-wins violated, regressions = %d:\n%s", regressions, out.String())
-	}
-
-	for _, bad := range []string{"no-equals", "=0.5", "SpMM=-1", "SpMM=xyz", "(=0.5"} {
-		if _, err := run([]string{"-tol-for", bad, old, new_}, io.Discard); err == nil {
-			t.Errorf("-tol-for %q should be rejected", bad)
-		}
 	}
 }
 

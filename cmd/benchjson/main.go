@@ -111,13 +111,11 @@ var tier1 = []struct {
 }{
 	{name: "Table1DatasetGeneration", fn: ignoreWorkers(benchTable1)},
 	{name: "Fig10MatrixInference", fn: ignoreWorkers(benchMatrixInference)},
-	{name: "Fig10MatrixInferenceF32", fn: ignoreWorkers(benchMatrixInferenceF32)},
 	{name: "Fig10RecursiveInference", fn: ignoreWorkers(benchRecursiveInference)},
 	{name: "Fig10ShardedForward", fn: benchShardedForward, parallel: true},
 	{name: "PaperScaleForward", fn: ignoreWorkers(benchPaperScaleForward), samples: 1},
 	{name: "PaperScaleShardedForward", fn: benchPaperScaleSharded, parallel: true, samples: 1},
 	{name: "AblationCSRMul", fn: ignoreWorkers(benchCSRMul)},
-	{name: "AblationCSRMul32", fn: ignoreWorkers(benchCSRMul32)},
 	{name: "AblationSpMMParallel", fn: ignoreWorkers(benchSpMMParallel)},
 	{name: "AblationSpMM50k", fn: benchSpMM50k, parallel: true},
 	{name: "AblationIncrementalSCOAP", fn: ignoreWorkers(benchIncrementalSCOAP)},
@@ -362,21 +360,6 @@ func benchMatrixInference(b *testing.B) {
 	}
 }
 
-// benchMatrixInferenceF32 is the float32 twin of Fig10MatrixInference:
-// the same 20k-gate design scored through the narrowed-weights forward
-// path (core.Float32Inferencer). The delta between the pair is the
-// artifact's record of what precision narrowing buys on this host.
-func benchMatrixInferenceF32(b *testing.B) {
-	g, m := fig10Setup(1)
-	m.SetFloat32Inference(true)
-	m.PredictProbs(g) // build CSR + narrowed weights once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictProbs(g)
-	}
-}
-
 func benchRecursiveInference(b *testing.B) {
 	g, m := fig10Setup(1)
 	rng := rand.New(rand.NewSource(2))
@@ -484,25 +467,6 @@ func benchSpMMParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		csr.MulDenseParallel(dst, x, 0)
-	}
-}
-
-// benchCSRMul32 is the float32 twin of AblationCSRMul: the same
-// 20k-gate adjacency times a dense block, through the f32 SpMM kernel.
-func benchCSRMul32(b *testing.B) {
-	n := circuitgen.Generate("ab1", circuitgen.Config{Seed: 3, NumGates: 20000})
-	g := core.FromNetlist(n, scoap.Compute(n))
-	x := tensor.NewDense32(g.N, 32)
-	rng := rand.New(rand.NewSource(1))
-	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
-	}
-	dst := tensor.NewDense32(g.N, 32)
-	csr := g.Pred()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.MulDense32(dst, x)
 	}
 }
 

@@ -7,7 +7,7 @@
 //	serve -model model.gob [-addr :8080] [-max-concurrent 4]
 //	      [-max-queue 64] [-timeout 30s] [-cache 32]
 //	      [-drain-timeout 30s] [-access-log PATH] [-slow-ms 1000]
-//	      [-sample 16] [-shards 0] [-shard-workers 0] [-f32]
+//	      [-sample 16] [-shards 0] [-shard-workers 0]
 //	serve -demo             # untrained paper-architecture model
 //
 // -model accepts both the self-describing checkpoint format
@@ -16,9 +16,7 @@
 // executor of internal/partition — K level-band shards on a worker pool
 // of -shard-workers goroutines (0 = all cores) — which is bit-identical
 // to whole-graph inference and pays off on million-cell designs on
-// multi-core hosts. -f32 compiles designs through the model's float32
-// inference path (scores within ~1e-4 of float64; edit deltas always
-// run exact float64). On SIGINT/SIGTERM the server flips /healthz to
+// multi-core hosts. On SIGINT/SIGTERM the server flips /healthz to
 // "draining", stops accepting connections, and waits up to
 // -drain-timeout for in-flight requests before exiting.
 package main
@@ -64,7 +62,6 @@ func run(args []string) error {
 	sample := fs.Int("sample", 16, "access-log sampling: log one in N fast requests (1 logs all)")
 	shards := fs.Int("shards", 0, "score through the partitioned executor with this many shards (0 = whole-graph inference)")
 	shardWorkers := fs.Int("shard-workers", 0, "worker-pool size for -shards (0 = all cores)")
-	f32 := fs.Bool("f32", false, "score submitted designs with float32 inference (~1e-4 divergence; deltas stay float64)")
 	version := fs.Bool("version", false, "print the build's git revision and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,7 +126,6 @@ func run(args []string) error {
 		AccessLog:       logDst,
 		AccessLogSample: *sample,
 		SlowRequest:     time.Duration(*slowMs) * time.Millisecond,
-		Float32Scoring:  *f32,
 	})
 	if err != nil {
 		return err

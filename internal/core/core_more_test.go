@@ -37,6 +37,20 @@ func TestForwardAcrossDifferentGraphSizes(t *testing.T) {
 	}
 }
 
+// TestForwardWarmAllocs pins the allocation count of a warm inference
+// pass: the per-layer scratch is reused, so what remains is the
+// forwardCache bookkeeping (the struct plus the embeds slice growing to
+// D+1 entries). AllocsPerRun runs at GOMAXPROCS 1, so the SpMMs take
+// their serial path and the count does not depend on the host.
+func TestForwardWarmAllocs(t *testing.T) {
+	g := testGraph(74, 300)
+	m := MustNewModel(DefaultConfig())
+	m.Forward(g)
+	if n := testing.AllocsPerRun(20, func() { m.Forward(g) }); n > 4 {
+		t.Fatalf("warm Forward made %v allocations, want at most 4", n)
+	}
+}
+
 func TestForwardAfterObservationPoint(t *testing.T) {
 	g := testGraph(74, 200)
 	m := MustNewModel(tinyConfig(4))

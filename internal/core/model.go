@@ -74,31 +74,26 @@ type Model struct {
 	Enc []*nn.Linear
 	FC  *nn.MLP
 
-	// scratch holds reusable inference buffers keyed by role+layer; only
-	// the keep=false (inference) path uses them, so training caches stay
-	// intact. A Model is therefore not safe for concurrent use; the
-	// trainer gives each worker its own replica.
-	scratch map[string]*tensor.Dense
-
-	// f32 enables the float32 scoring path (see forward32.go); w32 caches
-	// the narrowed parameters and scratch32 the f32 inference buffers.
-	f32       bool
-	w32       *weights32
-	scratch32 map[string]*tensor.Dense32
+	// scratch holds reusable inference buffers, one slot per encoder
+	// step; only the keep=false (inference) path uses them, so training
+	// caches stay intact. A Model is therefore not safe for concurrent
+	// use; the trainer gives each worker its own replica.
+	scratch []layerScratch
 }
 
-// buf returns a reusable scratch matrix for the given role, reallocating
-// when the requested shape changes.
-func (m *Model) buf(key string, rows, cols int) *tensor.Dense {
-	if m.scratch == nil {
-		m.scratch = make(map[string]*tensor.Dense)
-	}
-	if d, ok := m.scratch[key]; ok && d.Rows == rows && d.Cols == cols {
+// layerScratch is one encoder step's inference buffers: the two
+// aggregation products, their combination, and the step's output.
+type layerScratch struct {
+	pe, se, agg, e *tensor.Dense
+}
+
+// fit returns d when it already has the requested shape, otherwise a
+// fresh rows×cols matrix.
+func fit(d *tensor.Dense, rows, cols int) *tensor.Dense {
+	if d != nil && d.Rows == rows && d.Cols == cols {
 		return d
 	}
-	d := tensor.NewDense(rows, cols)
-	m.scratch[key] = d
-	return d
+	return tensor.NewDense(rows, cols)
 }
 
 // NewModel initializes a model from cfg using cfg.Seed.
@@ -163,7 +158,6 @@ func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.Params()) }
 // Load restores parameters saved by Save into a model of identical
 // architecture.
 func (m *Model) Load(r io.Reader) error {
-	m.w32 = nil // cached f32 weights no longer match
 	return nn.LoadParams(r, m.Params())
 }
 
@@ -173,14 +167,12 @@ func (m *Model) Load(r io.Reader) error {
 func (m *Model) Clone() *Model {
 	c := MustNewModel(m.Cfg)
 	c.CopyParamsFrom(m)
-	c.f32 = m.f32
 	return c
 }
 
 // CopyParamsFrom copies parameter values (not gradients) from src;
 // architectures must match.
 func (m *Model) CopyParamsFrom(src *Model) {
-	m.w32 = nil // cached f32 weights no longer match
 	dst, s := m.Params(), src.Params()
 	if len(dst) != len(s) {
 		panic("core: CopyParamsFrom architecture mismatch")
@@ -226,10 +218,15 @@ func (m *Model) forward(g *Graph, keep bool) (*tensor.Dense, *forwardCache) {
 			agg = tensor.NewDense(g.N, cur.Cols)
 			next = nil // allocated by the encoder
 		} else {
-			pe = m.buf(fmt.Sprintf("pe%d", d), g.N, cur.Cols)
-			se = m.buf(fmt.Sprintf("se%d", d), g.N, cur.Cols)
-			agg = m.buf(fmt.Sprintf("agg%d", d), g.N, cur.Cols)
-			next = m.buf(fmt.Sprintf("e%d", d), g.N, enc.Out)
+			if len(m.scratch) != len(m.Enc) {
+				m.scratch = make([]layerScratch, len(m.Enc))
+			}
+			s := &m.scratch[d]
+			s.pe = fit(s.pe, g.N, cur.Cols)
+			s.se = fit(s.se, g.N, cur.Cols)
+			s.agg = fit(s.agg, g.N, cur.Cols)
+			s.e = fit(s.e, g.N, enc.Out)
+			pe, se, agg, next = s.pe, s.se, s.agg, s.e
 		}
 		P.MulDenseParallel(pe, cur, 0)
 		S.MulDenseParallel(se, cur, 0)
@@ -310,13 +307,8 @@ func (m *Model) backward(g *Graph, cache *forwardCache, dlogits *tensor.Dense) {
 	}
 }
 
-// Predict returns the positive-class probability for every node. With
-// SetFloat32Inference(true) the pass runs in float32 (forward32.go);
-// otherwise exact float64.
+// Predict returns the positive-class probability for every node.
 func (m *Model) Predict(g *Graph) []float64 {
-	if m.f32 {
-		return m.predict32(g)
-	}
 	logits := m.Forward(g)
 	probs := nn.Softmax(logits)
 	out := make([]float64, g.N)

@@ -99,16 +99,7 @@ func (sp *ShardedPredictor) ClonePredictor() core.IncrementalPredictor {
 
 // PredictProbs runs sharded inference and returns per-node positive
 // probabilities bit-identical to the base predictor's PredictProbs.
-//
-// When the base predictor has float32 inference enabled, the call
-// delegates to the base's whole-graph f32 path instead: the sharded
-// kernels are float64-only by design, because their stitching contract
-// is bit-identity with the f64 base, and narrowing per shard would
-// change summation boundaries between shard layouts.
 func (sp *ShardedPredictor) PredictProbs(g *core.Graph) []float64 {
-	if fi, ok := sp.base.(core.Float32Inferencer); ok && fi.Float32Inference() {
-		return sp.base.PredictProbs(g)
-	}
 	cg := sp.compile(g)
 	switch p := sp.base.(type) {
 	case *core.Model:
@@ -122,23 +113,6 @@ func (sp *ShardedPredictor) PredictProbs(g *core.Graph) []float64 {
 		return p.CombineStageProbs(g.N, stageProbs)
 	}
 	panic("partition: unreachable base type")
-}
-
-// SetFloat32Inference forwards the float32 flag to the wrapped base
-// predictor, making ShardedPredictor satisfy core.Float32Inferencer so
-// the serving layer's Float32Scoring option works behind sharding. With
-// the flag on, PredictProbs bypasses the shard kernels (see above).
-func (sp *ShardedPredictor) SetFloat32Inference(on bool) {
-	if fi, ok := sp.base.(core.Float32Inferencer); ok {
-		fi.SetFloat32Inference(on)
-	}
-}
-
-// Float32Inference reports whether the wrapped base predictor scores in
-// float32.
-func (sp *ShardedPredictor) Float32Inference() bool {
-	fi, ok := sp.base.(core.Float32Inferencer)
-	return ok && fi.Float32Inference()
 }
 
 // NewIncremental pays one sharded full pass, stitches the per-shard

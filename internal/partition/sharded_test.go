@@ -210,41 +210,3 @@ func TestShardedTinyGraphs(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedFloat32Delegation pins the f32 interplay: ShardedPredictor
-// forwards core.Float32Inferencer to its base, and with the flag on,
-// PredictProbs bypasses the float64-only shard kernels and answers from
-// the base's whole-graph f32 path (within the f32 tolerance of the f64
-// scores). Turning the flag back off restores sharded bit-identity.
-func TestShardedFloat32Delegation(t *testing.T) {
-	g := genGraph(t, circuitgen.Config{Seed: 7, NumGates: 150, NumPIs: 10, Layers: 6, MaxFanin: 3})
-	m := smallModel(t, 11)
-	want64 := m.Clone().PredictProbs(g)
-
-	sp, err := NewSharded(m, Options{K: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-
-	if sp.Float32Inference() {
-		t.Fatal("f32 flag on by default")
-	}
-	sp.SetFloat32Inference(true)
-	if !sp.Float32Inference() || !m.Float32Inference() {
-		t.Fatal("SetFloat32Inference did not reach the base predictor")
-	}
-	got := sp.PredictProbs(g)
-	for v := range want64 {
-		d := got[v] - want64[v]
-		if d < 0 {
-			d = -d
-		}
-		if d > 1e-4 {
-			t.Fatalf("node %d: f32 sharded score %g vs f64 %g", v, got[v], want64[v])
-		}
-	}
-
-	sp.SetFloat32Inference(false)
-	exactEqual(t, "post-f32", want64, sp.PredictProbs(g))
-}

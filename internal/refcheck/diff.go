@@ -168,26 +168,6 @@ func CheckSparseOps(coo *sparse.COO, cols int, rng *rand.Rand) error {
 		return fmt.Errorf("TransposeInto (warm dst) diverges from reference by %g", d)
 	}
 
-	// Float32 kernels: within f32 tolerance of the dense reference, and
-	// the parallel kernel bit-identical to the serial f32 one.
-	x32 := tensor.FromDense(x)
-	got32 := tensor.NewDense32(coo.NumRows, cols)
-	csr.MulDense32(got32, x32)
-	if d := MaxRelDiff32(got32, want); d > F32Tolerance {
-		return fmt.Errorf("CSR MulDense32 diverges from dense reference by %g", d)
-	}
-	par32 := tensor.NewDense32(coo.NumRows, cols)
-	for _, workers := range []int{2, 5} {
-		csr.MulDense32Parallel(par32, x32, workers)
-		for i, v := range par32.Data {
-			if v != got32.Data[i] {
-				return fmt.Errorf("CSR MulDense32Parallel(%d workers) not bit-identical to serial f32 at %d", workers, i)
-			}
-		}
-	}
-	if d := MaxRelDiff32(csr.ToDense32(), ref); d > F32Tolerance {
-		return fmt.Errorf("CSR ToDense32 diverges from reference by %g", d)
-	}
 	return nil
 }
 

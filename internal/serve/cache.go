@@ -15,10 +15,10 @@ import (
 
 // design is one compiled, cached design: the parsed netlist, its SCOAP
 // measures, the GCN graph, and a live incremental-inference session with
-// warm cached embeddings. The predictor is a private clone (see
-// core.ClonePredictor) so concurrent compiles of different designs never
-// share model scratch state; mu serializes all use of the bundle, which
-// is mutated in place by /v1/score/delta.
+// warm cached embeddings. The session runs on a private predictor
+// clone (see core.ClonePredictor) so concurrent compiles of different
+// designs never share model scratch state; mu serializes all use of the
+// bundle, which is mutated in place by /v1/score/delta.
 type design struct {
 	mu sync.Mutex
 
@@ -34,12 +34,7 @@ type design struct {
 	net  *netlist.Netlist
 	meas *scoap.Measures
 	g    *core.Graph
-	pred core.IncrementalPredictor
 	run  core.IncrementalRun
-	// scores holds the compile-time probabilities when the design was
-	// scored through the float32 path and no incremental session exists
-	// yet (run == nil); the first delta builds the session and drops it.
-	scores []float64
 
 	// Stats for GET /v1/designs. created is set before the design is
 	// published; hits and lastAccess are guarded by the cache lock (they
@@ -52,33 +47,10 @@ type design struct {
 	nodes      atomic.Int64
 }
 
-// probs returns the design's current per-node probabilities: the live
-// incremental session's when one exists, the f32 compile-time scores
-// otherwise. Callers must hold the entry lock and treat the slice as
-// read-only.
-func (d *design) probs() []float64 {
-	if d.run != nil {
-		return d.run.Probs()
-	}
-	return d.scores
-}
-
-// ensureRun builds the float64 incremental session on first need (the
-// f32 compile path skips it; see Options.Float32Scoring). Callers must
-// hold the entry lock. The full forward pass it runs is exact float64
-// regardless of the predictor's f32 flag, so delta updates keep the
-// bit-identity contract.
-func (d *design) ensureRun() {
-	if d.run == nil {
-		d.run = d.pred.NewIncremental(d.g)
-		d.scores = nil
-	}
-}
-
 // snapshotScores copies the current probabilities out under the entry
 // lock; the run owns its Probs slice and refreshes it in place.
 func (d *design) snapshotScores() []float64 {
-	return append([]float64(nil), d.probs()...)
+	return append([]float64(nil), d.run.Probs()...)
 }
 
 // designCache is the warm LRU of compiled designs, keyed by the

@@ -113,7 +113,6 @@ func (s *Server) compile(ctx context.Context, id string, body []byte) (*design, 
 		return nil, err
 	}
 	ph = tr.StartPhase("forward")
-	pred := core.ClonePredictor(s.opts.Predictor)
 	now := time.Now()
 	d := &design{
 		id:         id,
@@ -121,17 +120,10 @@ func (s *Server) compile(ctx context.Context, id string, body []byte) (*design, 
 		net:        n,
 		meas:       meas,
 		g:          g,
-		pred:       pred,
 		created:    now,
 		lastAccess: now,
-	}
-	if fi, ok := pred.(core.Float32Inferencer); ok && s.opts.Float32Scoring {
-		// f32 compile path: score now, defer the float64 incremental
-		// session to the first delta (see design.ensureRun).
-		fi.SetFloat32Inference(true)
-		d.scores = pred.PredictProbs(g)
-	} else {
-		d.run = pred.NewIncremental(g) // the one full forward pass
+		// The one full forward pass, on a private predictor clone.
+		run: core.ClonePredictor(s.opts.Predictor).NewIncremental(g),
 	}
 	d.nodes.Store(int64(n.NumGates()))
 	ph.End()
@@ -148,7 +140,7 @@ func (s *Server) scoreResponse(d *design, threshold float64, cached bool) ScoreR
 		Design:    s.cache.idOf(d),
 		Nodes:     d.net.NumGates(),
 		Scores:    d.snapshotScores(),
-		Difficult: difficultList(d.net, d.probs(), threshold),
+		Difficult: difficultList(d.net, d.run.Probs(), threshold),
 		Cached:    cached,
 	}
 }
@@ -317,7 +309,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	ph.End()
 	ph = tr.StartPhase("forward")
-	d.ensureRun()            // f32-compiled designs build the f64 session here
 	d.run.Update(d.g, dirty) // appended OP nodes are implicitly dirty
 	ph.End()
 

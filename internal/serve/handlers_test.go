@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestScoreHappyPathAndCacheHit(t *testing.T) {
@@ -369,6 +372,57 @@ func TestOPIArgumentValidation(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Fatalf("req %+v: status %d, want %d", tc.req, resp.StatusCode, tc.code)
 		}
+	}
+}
+
+// TestConcurrentScoringRace hammers the pooled scratch layers —
+// tensor's size-class pools and sparse's dedup/conversion scratch —
+// from concurrent score requests. Caching and batching are disabled
+// so every request pays a full compile and forward pass through the
+// shared sync.Pools; the race detector is the assertion.
+func TestConcurrentScoringRace(t *testing.T) {
+	pred := core.MustNewModel(core.DefaultConfig())
+	_, ts := newTestServer(t, Options{
+		Predictor:       pred,
+		DisableBatching: true,
+		CacheEntries:    -1,
+		MaxConcurrent:   8,
+	})
+
+	benches := []string{tinyBench, otherBench, thirdBench}
+	const goroutines = 8
+	const iters = 12
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for k := 0; k < iters; k++ {
+				body, _ := json.Marshal(ScoreRequest{Netlist: benches[(id+k)%len(benches)]})
+				httpResp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d iter %d: %v", id, k, err)
+					return
+				}
+				var resp ScoreResponse
+				err = json.NewDecoder(httpResp.Body).Decode(&resp)
+				httpResp.Body.Close()
+				if err != nil || httpResp.StatusCode != 200 {
+					errs <- fmt.Errorf("goroutine %d iter %d: status %d, decode err %v", id, k, httpResp.StatusCode, err)
+					return
+				}
+				if len(resp.Scores) != resp.Nodes || resp.Nodes == 0 {
+					errs <- fmt.Errorf("goroutine %d iter %d: %d scores for %d nodes", id, k, len(resp.Scores), resp.Nodes)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

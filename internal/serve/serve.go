@@ -84,16 +84,6 @@ type Options struct {
 	// the serial path.
 	DisableBatching bool
 
-	// Float32Scoring compiles designs with the predictor's float32
-	// inference mode when the predictor supports it
-	// (core.Float32Inferencer): /v1/score pays a ~2×-lighter f32 forward
-	// pass instead of building the float64 incremental session up front.
-	// The session is then built lazily on a design's first /v1/score/delta
-	// (delta updates stay exact float64), so score-only traffic never pays
-	// for it. Scores differ from the f64 path by at most ~1e-4
-	// (refcheck.F32Tolerance).
-	Float32Scoring bool
-
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// logged request (see obs.AccessRecord for the schema). nil disables
 	// access logging.

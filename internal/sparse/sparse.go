@@ -26,7 +26,6 @@ var (
 	spmmRows          = obs.GetCounter("spmm.rows")
 	spmmCalls         = obs.GetCounter("spmm.calls")
 	spmmParallelCalls = obs.GetCounter("spmm.parallel_calls")
-	spmmF32Calls      = obs.GetCounter("spmm.f32_calls")
 )
 
 // COO is a sparse matrix in coordinate format. Duplicate (row,col)

@@ -14,9 +14,10 @@ import (
 // buffer released at one shape is reusable at any smaller shape, and
 // growth pays at most one reallocation per doubling.
 //
-// Contract: Get* returns a matrix whose contents are UNSPECIFIED — call
-// Zero (or fully overwrite) before reading. Put* transfers ownership
-// back; the caller must not retain the matrix or views of its Data.
+// Contract: GetDense returns a matrix whose contents are UNSPECIFIED —
+// call Zero (or fully overwrite) before reading. PutDense transfers
+// ownership back; the caller must not retain the matrix or views of its
+// Data.
 // All functions are safe for concurrent use (sync.Pool-backed).
 
 // Pool metrics (no-ops until obs.Enable; see docs/OBSERVABILITY.md).
@@ -30,10 +31,7 @@ var (
 // buffer (≈1 GiB of float64), far above any graph this repo handles.
 const poolClasses = 28
 
-var (
-	densePools   [poolClasses]sync.Pool
-	dense32Pools [poolClasses]sync.Pool
-)
+var densePools [poolClasses]sync.Pool
 
 // sizeClass returns the smallest c with 1<<c >= n.
 func sizeClass(n int) int {
@@ -80,40 +78,4 @@ func PutDense(d *Dense) {
 	d.Data = d.Data[:cap(d.Data)]
 	d.Rows, d.Cols = 0, 0
 	densePools[c].Put(d)
-}
-
-// GetDense32 returns a rows×cols float32 matrix backed by pooled
-// storage. Contents are unspecified. Release with PutDense32.
-func GetDense32(rows, cols int) *Dense32 {
-	poolGets.Inc()
-	n := rows * cols
-	c := sizeClass(n)
-	if c >= poolClasses {
-		poolMisses.Inc()
-		return NewDense32(rows, cols)
-	}
-	d, _ := dense32Pools[c].Get().(*Dense32)
-	if d == nil {
-		poolMisses.Inc()
-		d = &Dense32{Data: make([]float32, 1<<c)}
-	}
-	d.Rows, d.Cols = rows, cols
-	d.Data = d.Data[:n]
-	return d
-}
-
-// PutDense32 returns a matrix obtained from GetDense32 to the pool. nil
-// and zero-capacity matrices are ignored.
-func PutDense32(d *Dense32) {
-	if d == nil || cap(d.Data) == 0 {
-		return
-	}
-	c := bits.Len(uint(cap(d.Data))) - 1
-	if c >= poolClasses {
-		return
-	}
-	poolPuts.Inc()
-	d.Data = d.Data[:cap(d.Data)]
-	d.Rows, d.Cols = 0, 0
-	dense32Pools[c].Put(d)
 }

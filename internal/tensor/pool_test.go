@@ -19,15 +19,6 @@ func TestPoolReuse(t *testing.T) {
 		t.Skip("sync.Pool dropped the buffer (GC); nothing to assert")
 	}
 	PutDense(e)
-
-	f := GetDense32(5, 5)
-	f.Data[0] = 42
-	PutDense32(f)
-	g := GetDense32(4, 4)
-	if len(g.Data) != 16 {
-		t.Fatalf("GetDense32 length %d, want 16", len(g.Data))
-	}
-	PutDense32(g)
 }
 
 // TestPoolZeroAndHuge covers the degenerate classes: zero-element
@@ -39,7 +30,6 @@ func TestPoolZeroAndHuge(t *testing.T) {
 	}
 	PutDense(z) // zero-capacity: ignored
 	PutDense(nil)
-	PutDense32(nil)
 	if sizeClass(1) != 0 || sizeClass(2) != 1 || sizeClass(3) != 2 || sizeClass(1<<20) != 20 {
 		t.Fatal("sizeClass wrong")
 	}
@@ -65,13 +55,6 @@ func TestPoolConcurrent(t *testing.T) {
 					}
 				}
 				PutDense(d)
-				f := GetDense32(8, 8)
-				f.Data[0] = float32(g)
-				if f.Data[0] != float32(g) {
-					t.Errorf("f32 buffer corrupted")
-					return
-				}
-				PutDense32(f)
 			}
 		}(g)
 	}

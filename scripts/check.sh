@@ -28,9 +28,7 @@
 #   8. the bench-regression gate: cmd/benchcmp diffs the two most recent
 #      committed BENCH_NNNN.json artifacts and fails on a regression
 #      beyond tolerance (generous, because artifacts may come from
-#      different machines; the float32 kernels get extra headroom via
-#      -tol-for since their throughput tracks the recording host's SIMD
-#      width; see docs/OBSERVABILITY.md)
+#      different machines; see docs/OBSERVABILITY.md)
 #   9. metric-key documentation: every serve.* / obs.* / partition.* /
 #      coarsen.* / spmm.* / pool.* metric key registered in non-test Go
 #      sources appears in docs/OBSERVABILITY.md
@@ -154,12 +152,8 @@ echo "   every serve.*/obs.*/partition.*/coarsen.*/spmm.*/pool.* metric key docu
 echo "== benchcmp (recorded performance trajectory)"
 benches=$(ls BENCH_*.json 2>/dev/null | sort | tail -2)
 if [ "$(echo "$benches" | wc -w)" -ge 2 ]; then
-    # The float32 kernels (F32 / CSRMul32 suffixes) get wider headroom:
-    # their ns/op tracks the recording host's SIMD width and cache line
-    # behavior more than the float64 paths, so cross-machine artifacts
-    # swing harder without any code change.
     # shellcheck disable=SC2086
-    go run ./cmd/benchcmp -tol 0.5 -tol-for 'F32|Mul32=0.75' $benches
+    go run ./cmd/benchcmp -tol 0.5 $benches
 else
     echo "(fewer than two BENCH_*.json artifacts; skipping)"
 fi
